@@ -4,7 +4,10 @@
 //! from scratch:
 //! - [`sha256()`]: FIPS 180-4 SHA-256 (validated against the official test
 //!   vectors) — block identities, Merkle roots and fork detection all hang
-//!   off real hash linkage;
+//!   off real hash linkage. On x86-64 CPUs with the SHA extensions the
+//!   compression runs on a hardware kernel, detected at runtime; elsewhere
+//!   the portable rounds run. The two give identical digests, so every
+//!   simulated result is the same on either path;
 //! - [`Hash256`]: the 32-byte digest newtype used as block/tx/state ids;
 //! - [`keys`]: deterministic keypairs and an HMAC-style keyed-hash signature
 //!   scheme. The paper never attacks the signature algebra — what matters to

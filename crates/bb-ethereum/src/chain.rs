@@ -171,11 +171,12 @@ struct EthNode {
 
 impl EthNode {
     fn enqueue(&mut self, tx: Arc<Transaction>) -> bool {
-        if !self.seen.insert(tx.id()) {
+        let id = tx.id();
+        if !self.seen.insert(id) {
             return false;
         }
-        self.pool_ids.insert(tx.id());
-        self.pool_admitted.insert(tx.id(), self.tree.head_height());
+        self.pool_ids.insert(id);
+        self.pool_admitted.insert(id, self.tree.head_height());
         self.pool.push_back(tx);
         true
     }
@@ -366,26 +367,29 @@ fn build_block(ctx: &EthCtx, node: &mut EthNode, now: SimTime, miner: NodeId) ->
     // at a handful of transactions; real pools queue per sender by
     // nonce. Sender map is ordered so the put-back below is
     // deterministic.
-    let mut future: std::collections::BTreeMap<Address, std::collections::BTreeMap<u64, Arc<Transaction>>> =
-        Default::default();
+    let mut future: std::collections::BTreeMap<
+        Address,
+        std::collections::BTreeMap<u64, (TxId, Arc<Transaction>)>,
+    > = Default::default();
     'fill: while included.len() < ctx.config.max_txs_per_block {
         let Some(tx) = node.pool.pop_front() else {
             break;
         };
-        if !node.pool_ids.contains(&tx.id()) {
+        let id = tx.id();
+        if !node.pool_ids.contains(&id) {
             continue; // pruned
         }
         // Try this transaction, then any buffered successors it unblocks.
-        let mut next = Some(tx);
-        while let Some(tx) = next.take() {
+        let mut next = Some((id, tx));
+        while let Some((id, tx)) = next.take() {
             match node.state.apply_transaction(&tx, height, &ctx.vm, ctx.config.tx_gas_limit) {
                 Ok(res) => {
                     gas_total += res.gas_used.max(1000);
                     exec_time += ctx.config.costs.exec_time(res.gas_used.max(1000))
                         + ctx.config.costs.sig_verify;
-                    node.pool_ids.remove(&tx.id());
-                    node.pool_admitted.remove(&tx.id());
-                    receipts.push((tx.id(), res.success));
+                    node.pool_ids.remove(&id);
+                    node.pool_admitted.remove(&id);
+                    receipts.push((id, res.success));
                     let nonce = tx.nonce;
                     let from = tx.from;
                     included.push(Arc::clone(&tx));
@@ -403,12 +407,12 @@ fn build_block(ctx: &EthCtx, node: &mut EthNode, now: SimTime, miner: NodeId) ->
                 }
                 Err(TxInvalid::BadNonce { expected, got }) if got > expected => {
                     // Future nonce: hold until its predecessor applies.
-                    future.entry(tx.from).or_default().insert(got, tx);
+                    future.entry(tx.from).or_default().insert(got, (id, tx));
                 }
                 Err(_) => {
                     // Stale or broken: drop.
-                    node.pool_ids.remove(&tx.id());
-                    node.pool_admitted.remove(&tx.id());
+                    node.pool_ids.remove(&id);
+                    node.pool_admitted.remove(&id);
                 }
             }
         }
@@ -419,11 +423,11 @@ fn build_block(ctx: &EthCtx, node: &mut EthNode, now: SimTime, miner: NodeId) ->
     // nonce-gap flood) and the entry ages out instead of re-queueing
     // forever.
     for (_, q) in future {
-        for (_, tx) in q {
-            let admitted = *node.pool_admitted.entry(tx.id()).or_insert(height);
+        for (_, (id, tx)) in q {
+            let admitted = *node.pool_admitted.entry(id).or_insert(height);
             if height.saturating_sub(admitted) > ctx.config.pool_evict_blocks {
-                node.pool_ids.remove(&tx.id());
-                node.pool_admitted.remove(&tx.id());
+                node.pool_ids.remove(&id);
+                node.pool_admitted.remove(&id);
             } else {
                 node.pool.push_front(tx);
             }
@@ -435,7 +439,8 @@ fn build_block(ctx: &EthCtx, node: &mut EthNode, now: SimTime, miner: NodeId) ->
         parent,
         height,
         timestamp_us: now.as_micros(),
-        tx_root: merkle_root(&included.iter().map(|t| t.id().0).collect::<Vec<_>>()),
+        // `receipts` lists the included transactions' ids in block order.
+        tx_root: merkle_root(&receipts.iter().map(|(id, _)| id.0).collect::<Vec<_>>()),
         state_root: node.state.root(),
         proposer: miner,
         difficulty,
@@ -547,8 +552,9 @@ fn prune_main_chain(node: &mut EthNode) {
             break;
         };
         for tx in &body.txs {
-            node.pool_ids.remove(&tx.id());
-            node.pool_admitted.remove(&tx.id());
+            let id = tx.id();
+            node.pool_ids.remove(&id);
+            node.pool_admitted.remove(&id);
         }
         cursor = body.header.parent;
     }
@@ -597,8 +603,9 @@ fn readopt_abandoned(node: &mut EthNode, old_head: Hash256) {
         let txs = body.txs.clone();
         let height = node.tree.head_height();
         for tx in txs {
-            if node.pool_ids.insert(tx.id()) {
-                node.pool_admitted.insert(tx.id(), height);
+            let id = tx.id();
+            if node.pool_ids.insert(id) {
+                node.pool_admitted.insert(id, height);
                 node.pool.push_back(tx);
             }
         }

@@ -323,25 +323,28 @@ fn build_block(
     // the Ethereum chain's `build_block` for why a plain FIFO pass over
     // the arrival-ordered pool starves blocks down to a handful of
     // transactions). Sender map ordered for a deterministic put-back.
-    let mut future: std::collections::BTreeMap<Address, std::collections::BTreeMap<u64, Arc<Transaction>>> =
-        Default::default();
+    let mut future: std::collections::BTreeMap<
+        Address,
+        std::collections::BTreeMap<u64, (TxId, Arc<Transaction>)>,
+    > = Default::default();
     'fill: while included.len() < max_txs {
         let Some(tx) = node.pool.pop_front() else {
             break;
         };
-        if !node.pool_ids.contains(&tx.id()) {
+        let id = tx.id();
+        if !node.pool_ids.contains(&id) {
             continue;
         }
-        let mut next = Some(tx);
-        while let Some(tx) = next.take() {
+        let mut next = Some((id, tx));
+        while let Some((id, tx)) = next.take() {
             match node.state.apply_transaction(&tx, height, &ctx.vm, ctx.config.tx_gas_limit) {
                 Ok(res) => {
                     gas_total += res.gas_used.max(1000);
                     cpu_time += ctx.config.produce_sign_cost
                         + ctx.config.costs.exec_time(res.gas_used.max(1000));
-                    node.pool_ids.remove(&tx.id());
-                    node.pool_admitted.remove(&tx.id());
-                    receipts.push((tx.id(), res.success));
+                    node.pool_ids.remove(&id);
+                    node.pool_admitted.remove(&id);
+                    receipts.push((id, res.success));
                     let nonce = tx.nonce;
                     let from = tx.from;
                     included.push(Arc::clone(&tx));
@@ -356,11 +359,11 @@ fn build_block(
                     }
                 }
                 Err(TxInvalid::BadNonce { expected, got }) if got > expected => {
-                    future.entry(tx.from).or_default().insert(got, tx);
+                    future.entry(tx.from).or_default().insert(got, (id, tx));
                 }
                 Err(_) => {
-                    node.pool_ids.remove(&tx.id());
-                    node.pool_admitted.remove(&tx.id());
+                    node.pool_ids.remove(&id);
+                    node.pool_admitted.remove(&id);
                 }
             }
         }
@@ -370,11 +373,11 @@ fn build_block(
     // predecessor is presumed lost (or never existed: a nonce-gap flood)
     // and the entry ages out instead of pinning the pool forever.
     for (_, q) in future {
-        for (_, tx) in q {
-            let admitted = *node.pool_admitted.entry(tx.id()).or_insert(height);
+        for (_, (id, tx)) in q {
+            let admitted = *node.pool_admitted.entry(id).or_insert(height);
             if height.saturating_sub(admitted) > ctx.config.pool_evict_blocks {
-                node.pool_ids.remove(&tx.id());
-                node.pool_admitted.remove(&tx.id());
+                node.pool_ids.remove(&id);
+                node.pool_admitted.remove(&id);
             } else {
                 node.pool.push_front(tx);
             }
@@ -386,7 +389,8 @@ fn build_block(
         parent,
         height,
         timestamp_us: now.as_micros(),
-        tx_root: merkle_root(&included.iter().map(|t| t.id().0).collect::<Vec<_>>()),
+        // `receipts` lists the included transactions' ids in block order.
+        tx_root: merkle_root(&receipts.iter().map(|(id, _)| id.0).collect::<Vec<_>>()),
         state_root: node.state.root(),
         proposer: producer,
         difficulty: 1,
@@ -508,8 +512,9 @@ fn prune_main_chain(node: &mut PoaNode) {
             break;
         };
         for tx in &body.txs {
-            node.pool_ids.remove(&tx.id());
-            node.pool_admitted.remove(&tx.id());
+            let id = tx.id();
+            node.pool_ids.remove(&id);
+            node.pool_admitted.remove(&id);
         }
         cursor = body.header.parent;
     }
@@ -527,8 +532,9 @@ fn readopt_abandoned(node: &mut PoaNode, old_head: Hash256) {
         let txs = body.txs.clone();
         let height = node.tree.head_height();
         for tx in txs {
-            if node.pool_ids.insert(tx.id()) {
-                node.pool_admitted.insert(tx.id(), height);
+            let id = tx.id();
+            if node.pool_ids.insert(id) {
+                node.pool_admitted.insert(id, height);
                 node.pool.push_back(tx);
             }
         }
@@ -552,11 +558,12 @@ fn on_admit(
     if ctx.crashed[me.index()] {
         return;
     }
-    if !node.seen.insert(tx.id()) {
+    let id = tx.id();
+    if !node.seen.insert(id) {
         return;
     }
-    node.pool_ids.insert(tx.id());
-    node.pool_admitted.insert(tx.id(), node.tree.head_height());
+    node.pool_ids.insert(id);
+    node.pool_admitted.insert(id, node.tree.head_height());
     node.pool.push_back(Arc::clone(&tx));
     if !relayed {
         // Gossip to the other authorities so whoever owns the next step

@@ -109,7 +109,11 @@ impl Transaction {
 
     /// The transaction id: hash of the full encoding.
     pub fn id(&self) -> TxId {
-        TxId(Hash256::digest(&self.encode()))
+        // The bytes of `encode()`, hashed from their parts instead of
+        // copied into a second buffer: length prefix ‖ body ‖ signature.
+        let body = self.signing_bytes();
+        let prefix = (body.len() as u32).to_be_bytes();
+        TxId(Hash256::digest_parts(&[&prefix, &body, &self.signature.as_hash().0]))
     }
 
     /// Verify the signature against the network's key registry.
@@ -119,8 +123,13 @@ impl Transaction {
     }
 
     /// Wire size in bytes (used by the network cost model).
+    ///
+    /// Equals `encode().len()`, computed without encoding: a 4-byte
+    /// length prefix, the signing bytes (nonce 8, from 20, to 20, value 8,
+    /// payload with its 4-byte prefix, public-key hash 32) and the 32-byte
+    /// signature.
     pub fn byte_size(&self) -> u64 {
-        self.encode().len() as u64
+        (4 + (8 + 20 + 20 + 8 + 4 + self.payload.len() + 32) + 32) as u64
     }
 
     /// Is this a contract-creation transaction?
@@ -195,5 +204,24 @@ mod tests {
         let small = Transaction::signed(&kp, 0, Address::from_index(1), 0, vec![0; 10]);
         let big = Transaction::signed(&kp, 0, Address::from_index(1), 0, vec![0; 500]);
         assert_eq!(big.byte_size() - small.byte_size(), 490);
+    }
+
+    #[test]
+    fn id_and_byte_size_match_the_encoding_seeded() {
+        let mut rng = bb_sim::SimRng::seed_from_u64(0x5EED_0005);
+        for payload_len in [0usize, 1, 3, 64, 120, 220, 1024, 4096, 9000] {
+            let mut payload = vec![0u8; payload_len];
+            rng.fill_bytes(&mut payload);
+            let kp = KeyPair::from_seed(rng.next_u64());
+            let to = if rng.below(4) == 0 {
+                Address::ZERO
+            } else {
+                Address::from_index(rng.below(1000))
+            };
+            let tx = Transaction::signed(&kp, rng.next_u64(), to, rng.next_u64(), payload);
+            let encoded = tx.encode();
+            assert_eq!(tx.id(), TxId(Hash256::digest(&encoded)), "payload {payload_len}");
+            assert_eq!(tx.byte_size(), encoded.len() as u64, "payload {payload_len}");
+        }
     }
 }

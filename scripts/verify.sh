@@ -97,6 +97,15 @@ echo "==> executor matrix: serial/parallel determinism + conflict ablation smoke
 cargo test -q --offline -p bb-bench --test parallel_determinism executor
 cargo test -q --offline -p bb-bench --lib executor_speedup_degrades_gracefully
 
+echo "==> crypto kernel: SHA-256 hardware/portable differential smoke"
+# Every layer hashes through bb-crypto's SHA-256: the x86-64 SHA-extensions
+# kernel when the CPU has it, the portable rounds otherwise. The crate's
+# tests run the FIPS vectors through both paths and compare them at every
+# length and at random update splits (the hardware half is skipped on a
+# CPU without the extensions). Named so a hashing regression is reported
+# as one.
+cargo test -q --offline -p bb-crypto
+
 echo "==> feature matrix: property tests compile (offline)"
 cargo check -q --offline --workspace --all-targets --features proptest
 
