@@ -32,7 +32,7 @@ use blockbench::connector::{
     BlockchainConnector, ChainEntry, DirectExec, Fault, PlatformStats, Query, QueryError,
     QueryResult,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use blockbench::contract::ContractBundle;
 use std::collections::{HashSet, VecDeque};
 
@@ -430,26 +430,22 @@ fn send_msg(to: NodeId, msg: PbftMsg, fx: &mut Effects<FabEvent>) {
     fx.send(to.0, bytes, move |_at| FabEvent::Consensus { to, from, msg });
 }
 
-/// Execute a deduplicated batch through the optimistic parallel executor:
-/// speculate every chaincode invocation against the pre-block state (the
-/// coarse state lock also keeps the shared chaincode memory meter
-/// deterministic), then commit in canonical order — clean winners apply
-/// their buffered writes, conflicted losers re-invoke serially at their
-/// slot. The simulation bills the serial execution time, so throughput
-/// figures are unchanged; parallelism lands in the modeled counters.
+/// Execute a deduplicated batch through the optimistic executor: speculate
+/// every chaincode invocation, in canonical order, against the pre-block
+/// state, then commit in canonical order — clean winners apply their
+/// buffered writes, conflicted losers re-invoke serially at their slot.
+/// The simulation bills the serial execution time, so throughput figures
+/// are unchanged; parallelism lands in the modeled counters.
 fn execute_batch_txs(
     ctx: &FabCtx,
     node: &mut FabNode,
     height: u64,
     txs: &[Arc<Transaction>],
 ) -> (Vec<(TxId, bool)>, SimDuration) {
-    let threads = bb_exec::resolved_threads();
-    let specs: Vec<SpecInvoke> = {
-        let state = Mutex::new(&mut node.state);
-        bb_exec::speculate(txs.len(), threads, |i| {
-            state.lock().expect("state lock").speculate_invoke(&txs[i], height)
-        })
-    };
+    let specs: Vec<SpecInvoke> = txs
+        .iter()
+        .map(|tx| node.state.speculate_invoke(tx, height))
+        .collect();
     let cost = |r: &InvokeResult| ctx.config.invoke_time(r.units, r.state_ops).as_micros();
     let mut committed = bb_exec::KeySet::new();
     let mut receipts = Vec::with_capacity(txs.len());

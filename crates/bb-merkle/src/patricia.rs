@@ -382,8 +382,8 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// Fetch `key` at the current root with *no observable side effects* on
     /// the trie: the decoded-node cache is consulted but never updated and
     /// the hit/miss counters stay untouched. Speculative executors read the
-    /// pre-state through this so a block's counters stay byte-identical
-    /// whether transactions were speculated serially or in parallel.
+    /// pre-state through this so speculation leaves the trie's cache and
+    /// counters exactly as it found them.
     pub fn get_frozen(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         if self.root.is_zero() {
             return Ok(None);

@@ -255,10 +255,11 @@ struct Shared<W: ShardedWorld> {
     shutdown: AtomicBool,
 }
 
-/// Global core-token pool shared by the experiment runner (`map_cells`) and
-/// every engine's helper threads, so intra-world parallelism soaks up cores
-/// exactly when per-world scattering leaves them idle (the long-pole cell at
-/// the end of a figure sweep) instead of oversubscribing the host.
+/// Global core-token pool from which every [`ShardedEngine`] draws its
+/// helper threads, so engines running side by side in one process share
+/// the host's cores. Only the engines draw from it: the experiment
+/// runner's cell scatter (`map_cells_hinted`) sizes its workers on its own,
+/// so the two levels can still oversubscribe the host.
 pub mod tokens {
     use super::*;
 

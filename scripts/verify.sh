@@ -88,12 +88,15 @@ cargo test -q --offline -p bb-bench --lib exp_chaos
 cargo test -q --offline -p bb-bench --test parallel_determinism chaos
 cargo test -q --offline -p bb-bench --test pool_eviction
 
-echo "==> executor matrix: serial/parallel determinism + conflict ablation smoke"
-# The optimistic block executor must be invisible to the simulation:
-# byte-identical RunStats under BB_SERIAL_EXEC=1 and any thread count, and
-# the Zipfian conflict ablation must keep its speedup floors (>=1.5x at
-# theta<=0.5, graceful >=1.0x at 0.99). Named here so an executor
-# regression is reported as one rather than buried in the full suite.
+echo "==> executor matrix: conflict determinism + lane model + ablation smoke"
+# The optimistic block executor speculates inline; its parallel speedup is
+# the modeled 4-lane makespan. Run bb-exec's conflict-oracle and lane-model
+# tests, the forced-conflict run that must give byte-identical RunStats
+# under the serial and sharded engines, and the Zipfian conflict ablation
+# with its speedup floors (>=1.5x at theta<=0.5, graceful >=1.0x at 0.99).
+# Named here so an executor regression is reported as one rather than
+# buried in the full suite.
+cargo test -q --offline -p bb-exec
 cargo test -q --offline -p bb-bench --test parallel_determinism executor
 cargo test -q --offline -p bb-bench --lib executor_speedup_degrades_gracefully
 

@@ -11,6 +11,10 @@
 //!   which lane thread ran them, so full `RunStats` debug output must
 //!   match byte for byte across seeds, platforms and fault injections.
 //!
+//! The optimistic block executor inside each node runs its speculation
+//! inline, so it adds no third level; its loser re-execution path is
+//! covered here by a forced-conflict run under both engine modes.
+//!
 //! Lives in its own integration-test binary because the worker knobs are
 //! process-global env vars: the `ENV_LOCK` below serialises the tests so
 //! nothing else can race the mutations.
@@ -58,25 +62,6 @@ fn engine_sharded() {
 fn engine_env_reset() {
     std::env::remove_var("BB_SERIAL");
     std::env::remove_var("BB_SHARD_THREADS");
-}
-
-/// Force the intra-block transaction executor serial (one speculation
-/// lane), leaving the event engine alone.
-fn exec_serial() {
-    std::env::set_var("BB_SERIAL_EXEC", "1");
-    std::env::remove_var("BB_EXEC_THREADS");
-}
-
-/// Force the intra-block executor onto 4 speculation threads, even on
-/// single-core CI.
-fn exec_parallel() {
-    std::env::remove_var("BB_SERIAL_EXEC");
-    std::env::set_var("BB_EXEC_THREADS", "4");
-}
-
-fn exec_env_reset() {
-    std::env::remove_var("BB_SERIAL_EXEC");
-    std::env::remove_var("BB_EXEC_THREADS");
 }
 
 fn build_seeded(platform: Platform, nodes: u32, seed: u64) -> Box<dyn BlockchainConnector> {
@@ -225,35 +210,11 @@ fn open_loop_run_stats_byte_identical_serial_vs_sharded() {
     engine_env_reset();
 }
 
-/// The optimistic block executor speculates a sealed block's transactions
-/// against the frozen pre-state snapshot, so its read/write sets — and
-/// therefore conflict counts, receipts and roots — are decided by block
-/// content alone, never by thread scheduling. Full `RunStats` must be
-/// byte-identical between one speculation lane and four.
-#[test]
-fn executor_run_stats_byte_identical_serial_vs_parallel() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for platform in ALL_PLATFORMS {
-        for seed in [1u64, 7, 42] {
-            exec_serial();
-            let serial = driver_stats(platform, seed);
-            exec_parallel();
-            let parallel = driver_stats(platform, seed);
-            assert_eq!(
-                serial,
-                parallel,
-                "{} seed {seed}: parallel-executor RunStats diverged from serial",
-                platform.name()
-            );
-        }
-    }
-    exec_env_reset();
-}
-
-/// Same contract under maximum contention: a hot-key YCSB mix
-/// (`zipf_theta = 0.99` over few records) forces speculation conflicts
+/// The optimistic block executor under maximum contention: a hot-key YCSB
+/// mix (`zipf_theta = 0.99` over few records) forces speculation conflicts
 /// and the deterministic serial re-execution of the losers, and the
-/// re-executed results must still be schedule-independent.
+/// re-executed results must still be independent of the engine's thread
+/// schedule.
 fn high_conflict_stats(platform: Platform, seed: u64) -> String {
     let mut chain = build_seeded(platform, 4, seed);
     let mut workload = YcsbWorkload::new(YcsbConfig {
@@ -284,18 +245,18 @@ fn high_conflict_stats(platform: Platform, seed: u64) -> String {
 fn executor_conflict_reexecution_byte_identical_serial_vs_parallel() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for platform in ALL_PLATFORMS {
-        exec_serial();
+        engine_serial();
         let serial = high_conflict_stats(platform, 42);
-        exec_parallel();
-        let parallel = high_conflict_stats(platform, 42);
+        engine_sharded();
+        let sharded = high_conflict_stats(platform, 42);
         assert_eq!(
             serial,
-            parallel,
-            "{}: conflict re-execution diverged between serial and parallel executors",
+            sharded,
+            "{}: conflict re-execution diverged between serial and sharded engines",
             platform.name()
         );
     }
-    exec_env_reset();
+    engine_env_reset();
 }
 
 /// Figure-9-style fault drive: crash a third of the cluster mid-run after
